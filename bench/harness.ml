@@ -42,7 +42,7 @@ let attach_trace w =
         at_exit (fun () -> close_out oc);
         oc
     in
-    let tr = Vsync_sim.Trace.obs (World.trace w) in
+    let tr = World.trace w in
     Vsync_obs.Tracer.add_sink tr (Vsync_obs.Jsonl.sink_to_channel oc);
     Vsync_obs.Tracer.set_enabled tr true
 
@@ -61,22 +61,9 @@ let note_gc () =
     if live > !max_live_words then max_live_words := live
   end
 
-(* [--no-coalesce] re-runs experiments with the historical wire
-   behaviour — one frame per packet, a dedicated ack per delivery, an
-   no ABCAST origination gate — for A/B comparisons against the coalescing
-   defaults.  [legacy_runtime_config] is that configuration;
-   [make_cluster] substitutes it whenever the flag is set and the
-   caller did not pin a config of its own. *)
-let no_coalesce = ref false
-
-let legacy_runtime_config =
-  let d = Runtime.default_config in
-  {
-    d with
-    Runtime.ab_window = 0 (* no origination gate: rounds launch immediately *);
-    endpoint =
-      { d.Runtime.endpoint with Vsync_transport.Endpoint.coalesce = false; delayed_ack_us = 0 };
-  }
+(* A deterministic bench whose acceptance check failed ends the process
+   with status 1, after it has printed its table and written its JSON. *)
+let exit_unless ok = if not ok then exit 1
 
 (* A minimal JSON emitter — enough for benchmark artifacts, so the
    bench needs no external JSON dependency. *)
@@ -164,11 +151,6 @@ type cluster = {
 
 let make_cluster ?(seed = 0xBE5CL) ?(name = "bench") ?net_config ?runtime_config
     ?(backend = World.Sim) ~sites () =
-  let runtime_config =
-    match runtime_config with
-    | Some _ as c -> c
-    | None -> if !no_coalesce then Some legacy_runtime_config else None
-  in
   let w = World.create ~backend ~seed ?net_config ?runtime_config ~sites () in
   attach_trace w;
   let members =

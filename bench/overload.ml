@@ -253,7 +253,7 @@ let run () =
   Printf.printf "10x p99 delivery latency: flowctl %.1f ms vs static %.1f ms\n" (p99 flowctl10)
     (p99 static10);
 
-  match !Harness.json_path with
+  (match !Harness.json_path with
   | None -> ()
   | Some path ->
     let module J = Harness.Json in
@@ -317,4 +317,5 @@ let run () =
                  ("p99_ms_flowctl_10x", J.Float (p99 flowctl10));
                ] );
          ]);
-    Printf.printf "overload: JSON written to %s\n" path
+    Printf.printf "overload: JSON written to %s\n" path);
+  Harness.exit_unless (tput_ok && bounded_ok)

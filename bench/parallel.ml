@@ -139,9 +139,8 @@ let run () =
   Printf.printf "determinism: per-seed digests %s across every point\n"
     (if all_match then "identical (PASS)" else "DIVERGED (FAIL)");
   Printf.printf "oracle soak: %s\n" (if soak_ok then "all seeds clean (PASS)" else "FAIL");
-  if not (all_match && soak_ok) then exit 1;
 
-  match !Harness.json_path with
+  (match !Harness.json_path with
   | None -> ()
   | Some path ->
     let module J = Harness.Json in
@@ -183,4 +182,5 @@ let run () =
            ( "acceptance",
              J.Obj [ ("digests_identical", J.Bool all_match); ("soak_clean", J.Bool soak_ok) ] );
          ]);
-    Printf.printf "parallel: JSON written to %s\n" path
+    Printf.printf "parallel: JSON written to %s\n" path);
+  Harness.exit_unless (all_match && soak_ok)

@@ -8,10 +8,8 @@
    view changes mid-run, none in the tail, so a run whose per-view
    delivery state is unbounded has deciles 5..10 to accrete in.
 
-   Two variants: the default ([stability_gc = true], watermarks
-   advanced from the stability flow) and the historical behaviour
-   ([stability_gc = false], dedup records held for the life of the
-   view).  Acceptance, on the default variant of the full run:
+   Dedup watermarks advance from the stability flow, so the dedup
+   residue drains at every decile.  Acceptance, on the full run:
 
    - final-decile live heap within 10% of the second decile;
    - final-decile msgs/s within 10% of the second decile.
@@ -22,7 +20,7 @@
    [Uid_set] holding all 100k uids).  Acceptance: >= 5x.
 
      dune exec bench/main.exe -- soak
-     dune exec bench/main.exe -- soak --smoke --json BENCH_soak.json *)
+     dune exec bench/main.exe -- soak --smoke --json soak.json *)
 
 open Vsync_core
 module Addr = Vsync_msg.Addr
@@ -56,9 +54,8 @@ let gauge w f =
   done;
   !acc
 
-let soak_run ~label ~stability_gc ~msgs ~sites =
-  let runtime_config = { Runtime.default_config with Runtime.stability_gc } in
-  let c = Harness.make_cluster ~seed:0x50A1L ~runtime_config ~sites () in
+let soak_run ~label ~msgs ~sites =
+  let c = Harness.make_cluster ~seed:0x50A1L ~sites () in
   let w = c.Harness.w in
   let delivered = ref 0 in
   Array.iter (fun m -> Runtime.bind m Harness.e_app (fun _ -> incr delivered)) c.Harness.members;
@@ -262,8 +259,7 @@ let micro_dedup () =
 let run () =
   let msgs = if !Harness.smoke then 5_000 else 100_000 in
   let sites = 3 in
-  let gc_on = soak_run ~label:"stability_gc" ~stability_gc:true ~msgs ~sites in
-  let gc_off = soak_run ~label:"no_gc" ~stability_gc:false ~msgs ~sites in
+  let r = soak_run ~label:"default" ~msgs ~sites in
   let rows r =
     List.map
       (fun d ->
@@ -282,9 +278,9 @@ let run () =
       (Printf.sprintf "soak: %d msgs (1/8 ABCAST), %d sites, view changes at deciles 3 and 5"
          msgs sites)
     ~header:[ "config"; "decile"; "msgs/s (wall)"; "live words"; "store"; "dedup residue" ]
-    (rows gc_on @ rows gc_off);
+    (rows r);
 
-  let d2 = decile_at gc_on 2 and d10 = decile_at gc_on 10 in
+  let d2 = decile_at r 2 and d10 = decile_at r 10 in
   let heap_ratio = float_of_int d10.d_live_words /. float_of_int (max 1 d2.d_live_words) in
   let tput_ratio = d10.d_msgs_per_s /. d2.d_msgs_per_s in
   let heap_ok = heap_ratio <= 1.10 in
@@ -293,9 +289,7 @@ let run () =
     (if heap_ok then "PASS" else "FAIL");
   Printf.printf "final/second decile msgs/s: %.3f (acceptance: >= 0.90) %s\n" tput_ratio
     (if tput_ok then "PASS" else "FAIL");
-  let off10 = decile_at gc_off 10 in
-  Printf.printf "dedup residue at decile 10: %d (stability_gc) vs %d (no_gc)\n"
-    (decile_at gc_on 10).d_dedup off10.d_dedup;
+  Printf.printf "dedup residue at decile 10: %d\n" d10.d_dedup;
 
   let wall_r =
     if not !Harness.wall then None
@@ -355,8 +349,7 @@ let run () =
            ("bench", J.Str "soak");
            ("smoke", J.Bool !Harness.smoke);
            ("msgs", J.Int msgs);
-           ("stability_gc", run_json gc_on);
-           ("no_gc", run_json gc_off);
+           ("run", run_json r);
            ( "wall_clock",
              match wall_r with
              | None -> J.Bool false

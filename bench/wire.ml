@@ -1,9 +1,10 @@
 (* Wire efficiency: what frame coalescing, delayed/piggybacked acks and
    the pipelined ABCAST window buy on the wire.
 
-   Two experiments, each run A/B against the historical configuration
-   (one frame per packet, a dedicated ack per delivery, no ABCAST
-   origination gate — [Harness.legacy_runtime_config]):
+   Two experiments, each compared against the historical wire path (one
+   frame per packet, a dedicated ack per delivery, no ABCAST origination
+   gate).  That path is gone; its figures are frozen in [legacy] below,
+   measured on the same deterministic workloads before it was deleted:
 
    - CBCAST flood: one member floods asynchronous CBCASTs at a
      3-member group and we count data frames, dedicated ack frames and
@@ -99,6 +100,37 @@ let cbcast_flood ?runtime_config ~sites n =
 let frames_per_delivered r =
   float_of_int (r.wire.data + r.wire.acks) /. float_of_int (max 1 r.delivered)
 
+(* Frozen figures of the historical wire path, full and smoke size.  The
+   simulator is deterministic, so these are exact, not samples. *)
+type legacy = {
+  l_data : int;
+  l_acks : int;
+  l_packets : int;
+  l_frames_per_delivered : float;
+  l_wire_per_payload : float;
+  l_abcast_msgs_per_s : float;
+}
+
+let legacy_full =
+  {
+    l_data = 2437;
+    l_acks = 2389;
+    l_packets = 4885;
+    l_frames_per_delivered = 4.0217;
+    l_wire_per_payload = 8.5815;
+    l_abcast_msgs_per_s = 189.1058;
+  }
+
+let legacy_smoke =
+  {
+    l_data = 396;
+    l_acks = 355;
+    l_packets = 762;
+    l_frames_per_delivered = 4.1722;
+    l_wire_per_payload = 8.6464;
+    l_abcast_msgs_per_s = 186.0872;
+  }
+
 (* --- ABCAST window sweep -------------------------------------------- *)
 
 (* Throughput of a back-to-back asynchronous ABCAST stream, measured
@@ -137,7 +169,9 @@ let abcast_rate ?runtime_config ~sites n =
   in
   (rate, wire)
 
-let windowed ab_window = { Runtime.default_config with Runtime.ab_window }
+let windowed ab_window =
+  let d = Runtime.default_config in
+  { d with Runtime.ab_window; ab_window_min = min ab_window d.Runtime.ab_window_min }
 
 (* --- driver ---------------------------------------------------------- *)
 
@@ -145,22 +179,25 @@ let run () =
   let flood_n = if !Harness.smoke then 60 else 400 in
   let ab_n = if !Harness.smoke then 40 else 200 in
   let flood_sites = 3 and ab_sites = 5 in
+  let legacy = if !Harness.smoke then legacy_smoke else legacy_full in
 
-  let legacy = cbcast_flood ~runtime_config:Harness.legacy_runtime_config ~sites:flood_sites flood_n in
   let dflt = cbcast_flood ~sites:flood_sites flood_n in
-  let fpd_legacy = frames_per_delivered legacy and fpd_dflt = frames_per_delivered dflt in
+  let fpd_legacy = legacy.l_frames_per_delivered and fpd_dflt = frames_per_delivered dflt in
   let reduction = 100.0 *. (1.0 -. (fpd_dflt /. fpd_legacy)) in
-  let row label (r : flood_result) =
+  let row label ~delivered ~data ~acks ~packets ~fpd ~wire_per_payload =
     [
       label;
-      string_of_int r.delivered;
-      string_of_int r.wire.data;
-      string_of_int r.wire.acks;
-      string_of_int r.wire.packets;
-      Printf.sprintf "%.2f" (frames_per_delivered r);
-      Printf.sprintf "%.2f" (float_of_int r.wire.acks /. float_of_int (max 1 r.wire.data));
-      Printf.sprintf "%.2f" (float_of_int r.wire.net_bytes /. float_of_int r.payload_bytes);
+      string_of_int delivered;
+      string_of_int data;
+      string_of_int acks;
+      string_of_int packets;
+      Printf.sprintf "%.2f" fpd;
+      Printf.sprintf "%.2f" (float_of_int acks /. float_of_int (max 1 data));
+      Printf.sprintf "%.2f" wire_per_payload;
     ]
+  in
+  let wire_per_payload (r : flood_result) =
+    float_of_int r.wire.net_bytes /. float_of_int r.payload_bytes
   in
   Harness.print_table
     ~title:
@@ -168,23 +205,27 @@ let run () =
          flood_n flood_sites)
     ~header:
       [ "config"; "delivered"; "data frames"; "ack frames"; "packets"; "frames/dlv"; "acks/data"; "wire B/payload B" ]
-    [ row "legacy (no coalesce)" legacy; row "default (coalesce)" dflt ];
+    [
+      row "legacy (frozen)" ~delivered:(flood_n * flood_sites) ~data:legacy.l_data
+        ~acks:legacy.l_acks ~packets:legacy.l_packets ~fpd:fpd_legacy
+        ~wire_per_payload:legacy.l_wire_per_payload;
+      row "default (coalesce)" ~delivered:dflt.delivered ~data:dflt.wire.data
+        ~acks:dflt.wire.acks ~packets:dflt.wire.packets ~fpd:fpd_dflt
+        ~wire_per_payload:(wire_per_payload dflt);
+    ];
   Printf.printf "data+ack frames per delivered: %.2f -> %.2f (%.0f%% reduction)\n" fpd_legacy
     fpd_dflt reduction;
 
   let windows = [ 1; 2; 4; 8; 16 ] in
-  let legacy_rate, legacy_wire =
-    abcast_rate ~runtime_config:Harness.legacy_runtime_config ~sites:ab_sites ab_n
-  in
+  let legacy_rate = legacy.l_abcast_msgs_per_s in
   let sweep =
     List.map
       (fun win -> (win, abcast_rate ~runtime_config:(windowed win) ~sites:ab_sites ab_n))
       windows
   in
-  let sweep_row label (rate, wire) =
+  let sweep_row win (rate, wire) =
     [
-      label;
-      (if label = "none" then "legacy" else "coalescing");
+      string_of_int win;
       Printf.sprintf "%.0f" rate;
       Printf.sprintf "%.2fx" (rate /. legacy_rate);
       string_of_int wire.packets;
@@ -196,15 +237,19 @@ let run () =
       (Printf.sprintf
          "ABCAST stream (%d msgs, %d sites): virtual delivered msgs/s vs origination window"
          ab_n ab_sites)
-    ~header:[ "window"; "endpoint"; "msgs/s (virtual)"; "vs legacy"; "packets"; "frames/pkt" ]
-    (sweep_row "none" (legacy_rate, legacy_wire)
-    :: List.map (fun (win, r) -> sweep_row (string_of_int win) r) sweep);
+    ~header:[ "window"; "msgs/s (virtual)"; "vs legacy"; "packets"; "frames/pkt" ]
+    (List.map (fun (win, r) -> sweep_row win r) sweep);
+  Printf.printf "legacy (frozen, no window, no coalescing): %.0f msgs/s\n" legacy_rate;
   let rate_at win = try fst (List.assoc win sweep) with Not_found -> nan in
-  Printf.printf "default window (%d) speedup over legacy: %.2fx (acceptance: >= 2x with window >= 4)\n"
-    Runtime.default_config.Runtime.ab_window
-    (rate_at Runtime.default_config.Runtime.ab_window /. legacy_rate);
+  let default_window = Runtime.default_config.Runtime.ab_window in
+  let speedup = rate_at default_window /. legacy_rate in
+  let ok = default_window >= 4 && speedup >= 2.0 in
+  Printf.printf
+    "default window (%d) speedup over legacy: %.2fx (acceptance: >= 2x with window >= 4) %s\n"
+    default_window speedup
+    (if ok then "PASS" else "FAIL");
 
-  match !Harness.json_path with
+  (match !Harness.json_path with
   | None -> ()
   | Some path ->
     let module J = Harness.Json in
@@ -219,8 +264,7 @@ let run () =
           ("net_bytes", J.Int r.wire.net_bytes);
           ("payload_bytes", J.Int r.payload_bytes);
           ("frames_per_delivered", J.Float (frames_per_delivered r));
-          ("wire_bytes_per_payload_byte",
-           J.Float (float_of_int r.wire.net_bytes /. float_of_int r.payload_bytes));
+          ("wire_bytes_per_payload_byte", J.Float (wire_per_payload r));
           ("elapsed_us", J.Int r.elapsed_us);
         ]
     in
@@ -234,7 +278,15 @@ let run () =
                [
                  ("sites", J.Int flood_sites);
                  ("msgs", J.Int flood_n);
-                 ("legacy", flood_json legacy);
+                 ( "legacy_frozen",
+                   J.Obj
+                     [
+                       ("data_frames", J.Int legacy.l_data);
+                       ("ack_frames", J.Int legacy.l_acks);
+                       ("packets", J.Int legacy.l_packets);
+                       ("frames_per_delivered", J.Float legacy.l_frames_per_delivered);
+                       ("wire_bytes_per_payload_byte", J.Float legacy.l_wire_per_payload);
+                     ] );
                  ("default", flood_json dflt);
                  ("frames_per_delivered_reduction_pct", J.Float reduction);
                ] );
@@ -243,7 +295,7 @@ let run () =
                [
                  ("sites", J.Int ab_sites);
                  ("msgs", J.Int ab_n);
-                 ("legacy_msgs_per_s", J.Float legacy_rate);
+                 ("legacy_frozen_msgs_per_s", J.Float legacy_rate);
                  ( "sweep",
                    J.List
                      (List.map
@@ -261,9 +313,10 @@ let run () =
                             ])
                         sweep) );
                  ("speedup_window4", J.Float (rate_at 4 /. legacy_rate));
-                 ( "speedup_default_window",
-                   J.Float (rate_at Runtime.default_config.Runtime.ab_window /. legacy_rate) );
-                 ("default_window", J.Int Runtime.default_config.Runtime.ab_window);
+                 ("speedup_default_window", J.Float speedup);
+                 ("default_window", J.Int default_window);
+                 ("pass", J.Bool ok);
                ] );
          ]);
-    Printf.printf "wire: JSON written to %s\n" path
+    Printf.printf "wire: JSON written to %s\n" path);
+  Harness.exit_unless ok

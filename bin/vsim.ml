@@ -16,7 +16,6 @@ module Addr = Vsync_msg.Addr
 module Entry = Vsync_msg.Entry
 module Message = Vsync_msg.Message
 module Net = Vsync_sim.Net
-module Trace = Vsync_sim.Trace
 
 let e_app = Entry.user 0
 
@@ -181,11 +180,11 @@ let run sites seed messages size mode loss crash_site crash_at_ms partition trac
     if wall then ignore (World.run_cond ~timeout_us:30_000_000 w pred) else World.run w
   in
   let w = World.create ~backend ~seed:(Int64.of_int seed) ~net_config ~sites () in
-  if trace_on then Trace.set_enabled (World.trace w) true;
+  let tr = World.trace w in
+  if trace_on then Vsync_obs.Tracer.set_enabled tr true;
   (match trace_sink with
   | None -> ()
   | Some sink ->
-    let tr = Trace.obs (World.trace w) in
     Vsync_obs.Tracer.add_sink tr sink;
     Vsync_obs.Tracer.set_enabled tr true);
   let members = Array.init sites (fun s -> World.proc w ~site:s ~name:(Printf.sprintf "m%d" s)) in
@@ -303,8 +302,9 @@ let run sites seed messages size mode loss crash_site crash_at_ms partition trac
   if trace_on then begin
     Printf.printf "\n--- protocol trace ---\n";
     List.iter
-      (fun r -> Format.printf "%a@." Trace.pp_record r)
-      (Trace.records (World.trace w))
+      (fun (r : Vsync_obs.Event.record) ->
+        Format.printf "[%8d us] %a@." r.at Vsync_obs.Event.pp r.ev)
+      (Vsync_obs.Tracer.records tr)
   end;
   0
 

@@ -368,7 +368,11 @@ and value_size = function
 
 exception Malformed of string
 
-type cursor = { data : bytes; mutable pos : int }
+(* [unseen] collects the fields whose name the symbol table has never
+   seen, as (ids array, slot, name offset), newest first: they are
+   interned only once the whole buffer has decoded, so a rejected
+   buffer leaves no names behind. *)
+type cursor = { data : bytes; mutable pos : int; mutable unseen : (int array * int * int) list }
 
 let need cur n =
   if cur.pos + n > Stdlib.Bytes.length cur.data then raise (Malformed "truncated buffer")
@@ -404,14 +408,24 @@ let read_string cur n =
   cur.pos <- cur.pos + n;
   s
 
+(* The smallest encoded field: name length, empty name, tag, bool. *)
+let min_field_bytes = 3
+
 let rec decode_from cur =
   let start = cur.pos in
   let n = read_u16 cur in
+  if n * min_field_bytes > Stdlib.Bytes.length cur.data - cur.pos then
+    raise (Malformed "field count exceeds buffer");
   let ids = Array.make (max n 1) 0 and vals = Array.make (max n 1) (Bool false) in
   let nested = ref 0 in
   for i = 0 to n - 1 do
-    let id, v = decode_field cur in
+    let name_len = read_u8 cur in
+    need cur name_len;
+    let id = Symtab.find_sub cur.data ~pos:cur.pos ~len:name_len in
+    if id < 0 then cur.unseen <- (ids, i, cur.pos) :: cur.unseen;
     ids.(i) <- id;
+    cur.pos <- cur.pos + name_len;
+    let v = decode_value cur in
     vals.(i) <- v;
     if is_nested v then incr nested
   done;
@@ -419,47 +433,45 @@ let rec decode_from cur =
      encoded length for free. *)
   { store = { ids; vals; len = n; shared = false; nested = !nested; enc_size = cur.pos - start } }
 
-and decode_field cur =
-  let name_len = read_u8 cur in
-  need cur name_len;
-  let name_id = Symtab.intern_sub cur.data ~pos:cur.pos ~len:name_len in
-  cur.pos <- cur.pos + name_len;
+and decode_value cur =
   let tag = read_u8 cur in
-  let v =
-    if tag = tag_bool then Bool (read_u8 cur <> 0)
-    else if tag = tag_int then Int (Int64.to_int (read_i64 cur))
-    else if tag = tag_float then Float (Int64.float_of_bits (read_i64 cur))
-    else if tag = tag_str then
-      let len = read_i32 cur in
-      Str (read_string cur len)
-    else if tag = tag_bytes then
-      let len = read_i32 cur in
-      Bytes (Stdlib.Bytes.of_string (read_string cur len))
-    else if tag = tag_addr then Address (Addr.of_int64 (read_i64 cur))
-    else if tag = tag_addrs then begin
-      let n = read_u16 cur in
-      let rec loop i acc =
-        if i = n then List.rev acc else loop (i + 1) (Addr.of_int64 (read_i64 cur) :: acc)
-      in
-      Addresses (loop 0 [])
-    end
-    else if tag = tag_nested then begin
-      let len = read_i32 cur in
-      need cur len;
-      let stop = cur.pos + len in
-      let m = decode_from cur in
-      if cur.pos <> stop then raise (Malformed "nested message length mismatch");
-      Nested m
-    end
-    else raise (Malformed (Printf.sprintf "unknown field tag %d" tag))
-  in
-  (name_id, v)
+  if tag = tag_bool then Bool (read_u8 cur <> 0)
+  else if tag = tag_int then Int (Int64.to_int (read_i64 cur))
+  else if tag = tag_float then Float (Int64.float_of_bits (read_i64 cur))
+  else if tag = tag_str then
+    let len = read_i32 cur in
+    Str (read_string cur len)
+  else if tag = tag_bytes then
+    let len = read_i32 cur in
+    Bytes (Stdlib.Bytes.of_string (read_string cur len))
+  else if tag = tag_addr then Address (Addr.of_int64 (read_i64 cur))
+  else if tag = tag_addrs then begin
+    let n = read_u16 cur in
+    let rec loop i acc =
+      if i = n then List.rev acc else loop (i + 1) (Addr.of_int64 (read_i64 cur) :: acc)
+    in
+    Addresses (loop 0 [])
+  end
+  else if tag = tag_nested then begin
+    let len = read_i32 cur in
+    need cur len;
+    let stop = cur.pos + len in
+    let m = decode_from cur in
+    if cur.pos <> stop then raise (Malformed "nested message length mismatch");
+    Nested m
+  end
+  else raise (Malformed (Printf.sprintf "unknown field tag %d" tag))
 
 let decode b =
-  let cur = { data = b; pos = 0 } in
+  let cur = { data = b; pos = 0; unseen = [] } in
   match decode_from cur with
   | m ->
     if cur.pos <> Stdlib.Bytes.length b then invalid_arg "Message.decode: trailing bytes";
+    (* Accepted: intern the new names, in buffer order. *)
+    List.iter
+      (fun (ids, i, pos) ->
+        ids.(i) <- Symtab.intern_sub b ~pos ~len:(Stdlib.Bytes.get_uint8 b (pos - 1)))
+      (List.rev cur.unseen);
     m
   | exception Malformed why -> invalid_arg ("Message.decode: " ^ why)
   | exception Invalid_argument why -> invalid_arg ("Message.decode: " ^ why)

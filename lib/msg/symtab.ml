@@ -127,6 +127,11 @@ let find s =
   let r = lookup st s (hash_string s) in
   if r >= 0 then Some r else None
 
+let find_sub b ~pos ~len =
+  let st = state () in
+  let r = lookup_sub st b pos len (hash_sub b pos len) in
+  if r >= 0 then r else -1
+
 let name id =
   let st = state () in
   if id < 0 || id >= st.count then invalid_arg "Symtab.name: unknown symbol";

@@ -22,6 +22,12 @@ val intern_sub : bytes -> pos:int -> len:int -> int
     message ever carried cannot allocate state). *)
 val find : string -> int option
 
+(** [find_sub b ~pos ~len] is {!find} for the name spelled by that
+    range of [b], or [-1] if it was never interned; never grows the
+    table (the decoder looks names up while a buffer is still
+    unvalidated). *)
+val find_sub : bytes -> pos:int -> len:int -> int
+
 (** [name id] is the string for an id previously returned by {!intern}.
     @raise Invalid_argument on an id the table never issued. *)
 val name : int -> string

@@ -71,9 +71,9 @@ type t =
   | Partition_probe of { site : int; group : int; view_id : int }
   | Partition_evict of { site : int; group : int; view_id : int; new_view_id : int }
   | Partition_exit of { site : int; group : int; view_id : int }
-  (* free-form *)
+  | Liveness of { site : int; peer : int; state : string }
+  (* anomalies *)
   | Error_event of { site : int; what : string; detail : string }
-  | Note_event of { site : int; cat : string; text : string }
 
 let cls_of = function
   | Sched _ | Fire -> Engine
@@ -83,8 +83,9 @@ let cls_of = function
   | Originate _ | Frame_tx _ | Frame_rx _ | Ab_vote _ | Ab_commit _ | Deliver _
   | Stabilize _ | Wedge _ | Flush _ | View_install _ | Stable_advance _ | Gc_reclaim _ ->
     Proto
-  | Partition_wedge _ | Partition_probe _ | Partition_evict _ | Partition_exit _ -> Partition
-  | Error_event _ | Note_event _ -> Note
+  | Partition_wedge _ | Partition_probe _ | Partition_evict _ | Partition_exit _ | Liveness _ ->
+    Partition
+  | Error_event _ -> Note
 
 (* The uid an event is "about", for per-message timeline reconstruction. *)
 let uid_of = function
@@ -124,8 +125,8 @@ let site_of = function
   | Partition_probe { site; _ }
   | Partition_evict { site; _ }
   | Partition_exit { site; _ }
-  | Error_event { site; _ }
-  | Note_event { site; _ } ->
+  | Liveness { site; _ }
+  | Error_event { site; _ } ->
     Some site
 
 (* --- flat field view, shared by the JSONL codec and pretty printer --- *)
@@ -200,10 +201,10 @@ let fields = function
   | Stable_advance { site; origin; upto } ->
     ("stable_advance", [ ("site", I site); ("origin", I origin); ("upto", I upto) ])
   | Gc_reclaim { site; n } -> ("gc_reclaim", [ ("site", I site); ("n", I n) ])
+  | Liveness { site; peer; state } ->
+    ("liveness", [ ("site", I site); ("peer", I peer); ("state", S state) ])
   | Error_event { site; what; detail } ->
     ("error", [ ("site", I site); ("what", S what); ("detail", S detail) ])
-  | Note_event { site; cat; text } ->
-    ("note", [ ("site", I site); ("cat", S cat); ("text", S text) ])
 
 (* Inverse of [fields]; total over well-formed input, [None] otherwise. *)
 let of_fields tag fs =
@@ -359,16 +360,16 @@ let of_fields tag fs =
     let* site = i "site" in
     let* n = i "n" in
     Some (Gc_reclaim { site; n })
+  | "liveness" ->
+    let* site = i "site" in
+    let* peer = i "peer" in
+    let* state = s "state" in
+    Some (Liveness { site; peer; state })
   | "error" ->
     let* site = i "site" in
     let* what = s "what" in
     let* detail = s "detail" in
     Some (Error_event { site; what; detail })
-  | "note" ->
-    let* site = i "site" in
-    let* cat = s "cat" in
-    let* text = s "text" in
-    Some (Note_event { site; cat; text })
   | _ -> None
 
 (* --- timestamped record ------------------------------------------- *)

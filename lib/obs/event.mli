@@ -15,7 +15,9 @@
 (** Event class, for bitmask filtering on the tracer.  [Engine] events
     are voluminous (every scheduled callback) and off by default.
     [Partition] carries the primary-partition membership machinery:
-    minority wedges, heal probes, evictions and recoveries. *)
+    minority wedges, heal probes, evictions and recoveries, and the
+    site-liveness transitions that drive it.  [Note] carries
+    {!Error_event}s. *)
 type cls = Engine | Net | Transport | Proto | Partition | Note
 
 val cls_bit : cls -> int
@@ -66,9 +68,15 @@ type t =
   | Partition_exit of { site : int; group : int; view_id : int }
       (** false alarm: suspicion cleared and the component recovered
           without losing primacy. *)
-  (* free-form *)
+  | Liveness of { site : int; peer : int; state : string }
+      (** [site] saw site [peer] change liveness: [state] is
+          ["suspect"] (failure detector gave up on it), ["reachable"]
+          (it answered again), ["recovered"] (it announced a restart),
+          or, with [peer = site], ["crash"] / ["restart"] of [site]
+          itself. *)
+  (* anomalies *)
   | Error_event of { site : int; what : string; detail : string }
-  | Note_event of { site : int; cat : string; text : string }
+      (** a protocol anomaly the runtime tolerated; [what] names it. *)
 
 val cls_of : t -> cls
 

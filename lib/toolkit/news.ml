@@ -33,7 +33,7 @@ let join_attempts = 5
 
 let report_failure rt a detail =
   a.failed <- Some detail;
-  let tr = Vsync_sim.Trace.obs (Runtime.trace rt) in
+  let tr = Runtime.trace rt in
   if Vsync_obs.Tracer.wants tr Vsync_obs.Event.Note then
     Vsync_obs.Tracer.emit tr
       (Vsync_obs.Event.Error_event { site = Runtime.site rt; what = "news.join"; detail })

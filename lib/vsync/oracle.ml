@@ -82,7 +82,7 @@ let create ?(tag_field = "tag") world ~gid =
       partitions = [];
     }
   in
-  let tr = Vsync_sim.Trace.obs (World.trace world) in
+  let tr = World.trace world in
   Obs_tracer.add_sink tr (fun (r : Obs_event.record) ->
       match r.Obs_event.ev with
       | Obs_event.Deliver { site; usite; useq; _ } ->

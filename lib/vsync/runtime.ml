@@ -3,7 +3,6 @@ module Addr = Vsync_msg.Addr
 module Entry = Vsync_msg.Entry
 module Message = Vsync_msg.Message
 module Backend = Vsync_backend.Backend
-module Trace = Vsync_sim.Trace
 module Sched = Vsync_tasks.Sched
 module Ivar = Vsync_tasks.Ivar
 module Condition = Vsync_tasks.Condition
@@ -31,7 +30,6 @@ type config = {
   ab_window_min : int;
   ab_adaptive : bool;
   ab_queue_limit : int;
-  stability_gc : bool;
   clock_offset_us : int;
   minority_policy : minority_policy;
   endpoint : Endpoint.config;
@@ -47,7 +45,6 @@ let default_config =
     ab_window_min = 2;
     ab_adaptive = false;
     ab_queue_limit = 0;
-    stability_gc = true;
     clock_offset_us = 0;
     minority_policy = Buffer;
     endpoint = Endpoint.default_config;
@@ -213,7 +210,7 @@ and t = {
   my_site : int;
   cfg : config;
   bk : Backend.t;
-  tracer : Trace.t;
+  tracer : Obs_tracer.t;
   mutable ep : Proto.frame Endpoint.t option; (* set right after create *)
   ctrs : Stats.Counter.t;
   metrics : Metrics.t;
@@ -280,18 +277,23 @@ let cpu_busy_us t = t.cpu_busy
    paths (view changes, GC, errors) where a closure per call is
    irrelevant. *)
 let trace_proto t mk =
-  let tr = Trace.obs t.tracer in
+  let tr = t.tracer in
   if Obs_tracer.wants tr Obs_event.Proto then Obs_tracer.emit tr (mk ())
 
 (* Same, for the partition-membership event class. *)
 let trace_partition t mk =
-  let tr = Trace.obs t.tracer in
+  let tr = t.tracer in
   if Obs_tracer.wants tr Obs_event.Partition then Obs_tracer.emit tr (mk ())
 
-(* Same, for free-form notes (typed error events). *)
+(* Same, for typed error events. *)
 let trace_note t mk =
-  let tr = Trace.obs t.tracer in
+  let tr = t.tracer in
   if Obs_tracer.wants tr Obs_event.Note then Obs_tracer.emit tr (mk ())
+
+(* [peer]'s liveness changed as seen from this site ([peer = my_site]
+   for this site's own crash and restart). *)
+let trace_liveness t ~peer state =
+  trace_partition t (fun () -> Obs_event.Liveness { site = t.my_site; peer; state })
 
 (* The site's local wall clock: true simulation time plus this site's
    (unknown to it) offset.  The real-time tool's clock synchronization
@@ -440,7 +442,7 @@ let frame_uid_kind = function
 (* Frame_tx/Frame_rx, guarded before [frame_uid_kind] so the disabled
    path allocates nothing. *)
 let emit_frame_event t ~peer ~rx frame =
-  let tr = Trace.obs t.tracer in
+  let tr = t.tracer in
   if Obs_tracer.wants tr Obs_event.Proto then
     match frame_uid_kind frame with
     | Some (kind, u) ->
@@ -455,8 +457,6 @@ let emit_frame_event t ~peer ~rx frame =
 
 let send_frame t ~dst frame =
   if t.running then begin
-    if Trace.enabled t.tracer then
-      Trace.emitf t.tracer ~category:"frame" "s%d->s%d %a" t.my_site dst Proto.pp frame;
     emit_frame_event t ~peer:dst ~rx:false frame;
     Endpoint.send (endpoint t) ~dst frame
   end
@@ -570,12 +570,8 @@ let remote_member_sites t g =
 
 (* The live origination window: static [ab_window] unless [ab_adaptive],
    in which case the per-group AIMD estimate (the static value is the
-   ceiling, [ab_window_min] the floor).  [ab_window <= 0] stays
-   ungated. *)
-let current_ab_window t g =
-  if t.cfg.ab_window <= 0 then max_int
-  else if t.cfg.ab_adaptive then max 1 g.ab_cwnd
-  else t.cfg.ab_window
+   ceiling, [ab_window_min] the floor). *)
+let current_ab_window t g = if t.cfg.ab_adaptive then g.ab_cwnd else t.cfg.ab_window
 
 (* Additive increase: one clean round completion per current-window's
    worth of commits grows the window by one, up to the static ceiling.
@@ -583,7 +579,7 @@ let current_ab_window t g =
    fresh episode. *)
 let aimd_on_commit t g =
   g.ab_cooldown <- false;
-  if t.cfg.ab_adaptive && t.cfg.ab_window > 0 && g.ab_cwnd < t.cfg.ab_window then begin
+  if t.cfg.ab_adaptive && g.ab_cwnd < t.cfg.ab_window then begin
     g.ab_grow <- g.ab_grow + 1;
     if g.ab_grow >= g.ab_cwnd then begin
       g.ab_grow <- 0;
@@ -597,11 +593,11 @@ let aimd_on_commit t g =
    per loss episode — a retransmission burst fires many RTOs for the
    same underlying congestion. *)
 let on_transport_congestion t s =
-  if t.cfg.ab_adaptive && t.cfg.ab_window > 0 then
+  if t.cfg.ab_adaptive then
     Hashtbl.iter
       (fun _ g ->
         if (not g.ab_cooldown) && s <> t.my_site && List.mem s (View.sites g.view) then begin
-          g.ab_cwnd <- max (max 1 t.cfg.ab_window_min) (g.ab_cwnd / 2);
+          g.ab_cwnd <- max t.cfg.ab_window_min (g.ab_cwnd / 2);
           g.ab_grow <- 0;
           g.ab_cooldown <- true
         end)
@@ -723,7 +719,7 @@ let resolve_acks ~gid ~view_id (c : change_state) =
    primitive looks instantaneous to the sender); give it the same
    [Deliver] event, but only when the site actually hosts members. *)
 let emit_local_deliver t g uid =
-  let tr = Trace.obs t.tracer in
+  let tr = t.tracer in
   if Obs_tracer.wants tr Obs_event.Proto && local_members t g <> [] then
     Obs_tracer.emit tr
       (Obs_event.Deliver { site = t.my_site; group = gi g.gid; usite = uid.usite; useq = uid.useq })
@@ -739,7 +735,6 @@ let rec kill_proc p =
     Sched.kill p.sched;
     Hashtbl.remove t.procs p.addr.Addr.idx;
     if t.running then begin
-      Trace.emitf t.tracer ~category:"proc" "killed %a" Addr.pp_proc p.addr;
       (* The site monitor detects a local crash immediately (Sec 2.1):
          fail outstanding reply obligations and report the death to
          every group the process belonged to. *)
@@ -786,7 +781,13 @@ and dispatch_to_proc t p body =
           match Hashtbl.find_opt p.entries e with
           | Some handler -> Sched.spawn p.sched (fun () -> handler body)
           | None ->
-            Trace.emitf t.tracer ~category:"proc" "no entry %d at %a" e Addr.pp_proc p.addr)
+            trace_note t (fun () ->
+                Obs_event.Error_event
+                  {
+                    site = t.my_site;
+                    what = "no-entry";
+                    detail = Format.asprintf "entry %d at %a" e Addr.pp_proc p.addr;
+                  }))
     end
   end
 
@@ -836,8 +837,7 @@ and clear_obligation t ~responder ~session =
    origins, and mark own-origin local deliveries. *)
 and drain_group t g =
   let deliver uid body =
-    Trace.emitf t.tracer ~category:"deliver" "g%d %a at s%d" (gi g.gid) pp_uid uid t.my_site;
-    (let tr = Trace.obs t.tracer in
+    (let tr = t.tracer in
      if Obs_tracer.wants tr Obs_event.Proto then
        Obs_tracer.emit tr
          (Obs_event.Deliver
@@ -878,7 +878,7 @@ and check_stable t uid u =
   if u.remaining = [] then begin
     Hashtbl.remove t.unstables uid;
     grp_index_remove t.unstable_by_group (gi u.u_group) uid;
-    (let tr = Trace.obs t.tracer in
+    (let tr = t.tracer in
      if Obs_tracer.wants tr Obs_event.Proto then
        Obs_tracer.emit tr
          (Obs_event.Stabilize { site = t.my_site; usite = uid.usite; useq = uid.useq }));
@@ -898,7 +898,7 @@ and check_stable t uid u =
 and on_stable t gid uid =
   match group_of t gid with
   | Some g ->
-    (let tr = Trace.obs t.tracer in
+    (let tr = t.tracer in
      if Obs_tracer.wants tr Obs_event.Proto then begin
        Obs_tracer.emit tr
          (Obs_event.Stabilize { site = t.my_site; usite = uid.usite; useq = uid.useq });
@@ -918,19 +918,18 @@ and on_stable t gid uid =
    engine's watermark could cover a uid of that protocol still in
    flight. *)
 and note_stabilized t g uid =
-  if t.cfg.stability_gc then
-    match Uid_map.find_opt uid g.store with
-    | Some (Proto.Scb _) ->
-      Causal.stabilized g.causal uid;
-      let tr = Trace.obs t.tracer in
-      if Obs_tracer.wants tr Obs_event.Proto then
-        Obs_tracer.emit tr (Obs_event.Gc_reclaim { site = t.my_site; n = 1 })
-    | Some (Proto.Sab _) ->
-      Total.stabilized g.total uid;
-      let tr = Trace.obs t.tracer in
-      if Obs_tracer.wants tr Obs_event.Proto then
-        Obs_tracer.emit tr (Obs_event.Gc_reclaim { site = t.my_site; n = 1 })
-    | None -> ()
+  match Uid_map.find_opt uid g.store with
+  | Some (Proto.Scb _) ->
+    Causal.stabilized g.causal uid;
+    let tr = t.tracer in
+    if Obs_tracer.wants tr Obs_event.Proto then
+      Obs_tracer.emit tr (Obs_event.Gc_reclaim { site = t.my_site; n = 1 })
+  | Some (Proto.Sab _) ->
+    Total.stabilized g.total uid;
+    let tr = t.tracer in
+    if Obs_tracer.wants tr Obs_event.Proto then
+      Obs_tracer.emit tr (Obs_event.Gc_reclaim { site = t.my_site; n = 1 })
+  | None -> ()
 
 (* --- sessions (reply collection) --- *)
 
@@ -1117,8 +1116,7 @@ and origin_cbcast t g ~owner body =
     if rank >= 0 then Some (Vsync_util.Vclock.to_list (Causal.stamp g.causal ~rank)) else None
   in
   let remote = remote_member_sites t g in
-  Trace.emitf t.tracer ~category:"cbcast" "send %a g%d" pp_uid uid (gi g.gid);
-  (let tr = Trace.obs t.tracer in
+  (let tr = t.tracer in
    if Obs_tracer.wants tr Obs_event.Proto then
      Obs_tracer.emit tr
        (Obs_event.Originate
@@ -1167,13 +1165,12 @@ and dispatch_abcasts t g =
      of at least half the window: a burst goes out when that many
      slots are free and the backlog can fill them (two half-window
      bursts then overlap, so the originator never idles waiting for a
-     round trip), or when the pipeline drains entirely.  [ab_window <=
-     0] disables the origination gate (the pre-window behaviour: every
-     round launches immediately).  With [ab_adaptive] the window is the
-     live AIMD estimate instead of the static value. *)
+     round trip), or when the pipeline drains entirely.  With
+     [ab_adaptive] the window is the live AIMD estimate instead of the
+     static value. *)
   let window = current_ab_window t g in
   let free = window - g.ab_inflight in
-  let quantum = if window = max_int then 1 else (window + 1) / 2 in
+  let quantum = (window + 1) / 2 in
   if
     g.wedge = None
     && (not (Queue.is_empty g.ab_queue))
@@ -1191,8 +1188,7 @@ and dispatch_abcasts t g =
 and origin_abcast t g ~owner body =
   let uid = fresh_uid t in
   let remote = remote_member_sites t g in
-  Trace.emitf t.tracer ~category:"abcast" "send %a g%d" pp_uid uid (gi g.gid);
-  (let tr = Trace.obs t.tracer in
+  (let tr = t.tracer in
    if Obs_tracer.wants tr Obs_event.Proto then
      Obs_tracer.emit tr
        (Obs_event.Originate
@@ -1205,7 +1201,7 @@ and origin_abcast t g ~owner body =
     (* Purely local group: immediately stable.  GC the stabilization
        copy and the dedup record [drain_group] just created (no
        [Stable] flow ever runs for a local-only round). *)
-    (let tr = Trace.obs t.tracer in
+    (let tr = t.tracer in
      if Obs_tracer.wants tr Obs_event.Proto then
        Obs_tracer.emit tr
          (Obs_event.Stabilize { site = t.my_site; usite = uid.usite; useq = uid.useq }));
@@ -1224,7 +1220,6 @@ and origin_abcast t g ~owner body =
 
 and origin_gbcast t g body =
   let uid = fresh_uid t in
-  Trace.emitf t.tracer ~category:"gbcast" "request %a g%d" pp_uid uid (gi g.gid);
   trace_proto t (fun () ->
       Obs_event.Originate
         { site = t.my_site; proto = "gbcast"; group = gi g.gid; usite = uid.usite; useq = uid.useq });
@@ -1242,7 +1237,7 @@ and on_ab_prio t ~src uid prio =
     | Some g ->
       if g.wedge <> None then () (* the flush coordinator will finalize *)
       else begin
-        (let tr = Trace.obs t.tracer in
+        (let tr = t.tracer in
          if Obs_tracer.wants tr Obs_event.Proto then
            Obs_tracer.emit tr
              (Obs_event.Ab_vote
@@ -1258,8 +1253,7 @@ and on_ab_prio t ~src uid prio =
             grp_index_remove t.collects_by_group (gi col.ac_group) uid;
             g.ab_inflight <- max 0 (g.ab_inflight - 1);
             let final = col.ac_max in
-            Trace.emitf t.tracer ~category:"abcast" "commit %a %a" pp_uid uid pp_prio final;
-            (let tr = Trace.obs t.tracer in
+            (let tr = t.tracer in
              if Obs_tracer.wants tr Obs_event.Proto then
                Obs_tracer.emit tr
                  (Obs_event.Ab_commit
@@ -1311,7 +1305,6 @@ and route_event t g ev =
          group; instead park it and re-probe — either a suspicion
          clears (and routing finds the new coordinator) or the copy is
          eventually torn down. *)
-      Trace.emitf t.tracer ~category:"view" "no live coordinator for g%d" (gi g.gid);
       trace_note t (fun () ->
           Obs_event.Error_event
             {
@@ -1450,8 +1443,6 @@ and start_change t g =
         { c_attempt = attempt; c_batch = batch; c_sites = sites;
           c_acks = Hashtbl.create (List.length sites); c_fetch_wait = [];
           c_fetched = []; c_committed = false };
-    Trace.emitf t.tracer ~category:"view" "start change g%d v%d a%d (%d events)" (gi g.gid)
-      g.view.View.view_id attempt (List.length batch);
     trace_proto t (fun () ->
         Obs_event.Flush
           { site = t.my_site; group = gi g.gid; view_id = g.view.View.view_id; attempt });
@@ -1529,8 +1520,6 @@ and enter_minority t g ~batch ~survivors ~certain =
       g.view.View.members
   in
   let needed = (List.length base / 2) + 1 in
-  Trace.emitf t.tracer ~category:"view" "minority wedge g%d v%d: %d of %d survive, need %d"
-    (gi g.gid) g.view.View.view_id (List.length survivors) (List.length base) needed;
   trace_partition t (fun () ->
       Obs_event.Partition_wedge
         {
@@ -1618,7 +1607,6 @@ and minority_recover t g m ~site =
   trace_partition t (fun () ->
       Obs_event.Partition_exit
         { site = t.my_site; group = gi g.gid; view_id = g.view.View.view_id });
-  Trace.emitf t.tracer ~category:"view" "minority recover g%d: site %d reachable" (gi g.gid) site;
   g.pending_events <- Deque.prepend m.m_batch g.pending_events;
   (* Clearing the suspicion may hand coordinatorship back to the
      recovered site: route the parked events instead of running the
@@ -1639,8 +1627,6 @@ and minority_recover t g m ~site =
    finds the primary. *)
 and partition_teardown t g ~new_view_id =
   let gid_int = gi g.gid in
-  Trace.emitf t.tracer ~category:"view" "partition evict g%d v%d (primary at v%d)" gid_int
-    g.view.View.view_id new_view_id;
   trace_partition t (fun () ->
       Obs_event.Partition_evict
         { site = t.my_site; group = gid_int; view_id = g.view.View.view_id; new_view_id });
@@ -1923,7 +1909,9 @@ and body_for t g u =
     match Total.payload_of g.total u with
     | Some body -> Some (Proto.Sab { uid = u; prio = (0, 0); body })
     | None ->
-      Trace.emitf t.tracer ~category:"view" "body_for: missing %a" pp_uid u;
+      trace_note t (fun () ->
+          Obs_event.Error_event
+            { site = t.my_site; what = "body-missing"; detail = Format.asprintf "%a" pp_uid u });
       None)
 
 and on_fetch t ~src g ~view_id ~attempt uids =
@@ -2014,8 +2002,6 @@ and finish_change t g c =
           events)
   in
   c.c_committed <- true;
-  Trace.emitf t.tracer ~category:"view" "commit g%d v%d: %d events %d gb" (gi g.gid)
-    g.view.View.view_id (List.length events) (List.length gb_bodies);
   Stats.Counter.incr t.ctrs "prim.gbcast";
   List.iter (fun dst -> send_frame t ~dst commit) dests
 
@@ -2103,7 +2089,6 @@ and on_commit t ~src g_opt frame =
         (* 2. Deliver everything of the retiring view. *)
         let old_members = local_members t g in
         let deliver uid body =
-          Trace.emitf t.tracer ~category:"deliver" "flush g%d %a" (gi g.gid) pp_uid uid;
           trace_proto t (fun () ->
               Obs_event.Deliver
                 { site = t.my_site; group = gi g.gid; usite = uid.usite; useq = uid.useq });
@@ -2221,7 +2206,6 @@ and on_commit t ~src g_opt frame =
       (* 4. Deliver user GBCASTs at the synchronization point. *)
       List.iter
         (fun (uid, body) ->
-          Trace.emitf t.tracer ~category:"deliver" "gbcast g%d %a" (gi group) pp_uid uid;
           trace_proto t (fun () ->
               Obs_event.Deliver
                 { site = t.my_site; group = gi group; usite = uid.usite; useq = uid.useq });
@@ -2366,8 +2350,13 @@ and on_commit t ~src g_opt frame =
       in
       if accept then install (Some g)
       else
-        Trace.emitf t.tracer ~category:"view" "fenced stale commit g%d v%d a%d from s%d"
-          (gi group) view_id attempt src
+        trace_note t (fun () ->
+            Obs_event.Error_event
+              {
+                site = t.my_site;
+                what = "fenced-stale-commit";
+                detail = Printf.sprintf "g%d v%d a%d from s%d" (gi group) view_id attempt src;
+              })
     | Some _ -> () (* stale or repeated commit *)
     | None ->
       (* Joiner site (or rebroadcast): only meaningful if we host one of
@@ -2389,7 +2378,7 @@ and make_group t ~gid ~gname ~view =
     blocked_sends = [];
     ab_queue = Queue.create ();
     ab_inflight = 0;
-    ab_cwnd = max 1 t.cfg.ab_window;
+    ab_cwnd = t.cfg.ab_window;
     ab_grow = 0;
     ab_cooldown = false;
     g_monitors = [];
@@ -2418,7 +2407,7 @@ and hold_frame t ~src gid_int frame =
 (* --- failure handling --- *)
 
 and on_site_down ?(certain = false) t s =
-  Trace.emitf t.tracer ~category:"fail" "site %d suspected down (observed at s%d)" s t.my_site;
+  trace_liveness t ~peer:s "suspect";
   List.iter (fun w -> w (`Down s)) t.site_watchers;
   (* Purge the dead site from name-resolution hints FIRST: failing the
      open sessions resumes their callers, whose retries must see fresh
@@ -2473,7 +2462,7 @@ and on_site_down ?(certain = false) t s =
     groups
 
 and on_site_up t s =
-  Trace.emitf t.tracer ~category:"fail" "site %d announced recovery" s;
+  trace_liveness t ~peer:s "recovered";
   List.iter (fun w -> w (`Up s)) t.site_watchers
 
 (* The ping detector heard back from a site it had declared down: the
@@ -2484,7 +2473,7 @@ and on_site_up t s =
    install-time re-propose keeps the group churning empty view changes
    forever after the network heals. *)
 and on_site_recovered t s =
-  Trace.emitf t.tracer ~category:"fail" "site %d reachable again (observed at s%d)" s t.my_site;
+  trace_liveness t ~peer:s "reachable";
   List.iter (fun w -> w (`Up s)) t.site_watchers;
   let groups = Hashtbl.fold (fun _ g acc -> g :: acc) t.groups [] in
   List.iter
@@ -2510,8 +2499,6 @@ and on_site_recovered t s =
 
 and handle_frame t ~src frame =
   if t.running then begin
-    if Trace.enabled t.tracer then
-      Trace.emitf t.tracer ~category:"recv" "s%d<-s%d %a" t.my_site src Proto.pp frame;
     emit_frame_event t ~peer:src ~rx:true frame;
     match frame with
     | Proto.Ptp { dest; body } -> (
@@ -2783,7 +2770,7 @@ let wire_endpoint t =
     Endpoint.create ~config:t.cfg.endpoint t.fab.ep_fabric ~site:t.my_site ~size:Proto.size ()
   in
   t.ep <- Some ep;
-  Endpoint.set_tracer ep (Trace.obs t.tracer);
+  Endpoint.set_tracer ep (t.tracer);
   Endpoint.set_receiver ep (fun ~src frames ->
       (* One arriving packet can carry several frames (coalescing).  The
          fixed per-interrupt dispatch cost is charged once per packet;
@@ -2852,6 +2839,9 @@ let register_metrics t =
       Endpoint.channel_failures (endpoint t))
 
 let create ?(config = default_config) fab ~site ~trace () =
+  if config.ab_window < 1 then invalid_arg "Runtime.create: ab_window must be >= 1";
+  if config.ab_window_min < 1 || config.ab_window_min > config.ab_window then
+    invalid_arg "Runtime.create: ab_window_min must lie in [1, ab_window]";
   let t =
     {
       fab;
@@ -2896,7 +2886,7 @@ let create ?(config = default_config) fab ~site ~trace () =
 
 let crash t =
   if t.running then begin
-    Trace.emitf t.tracer ~category:"fail" "site %d crashes" t.my_site;
+    trace_liveness t ~peer:t.my_site "crash";
     t.running <- false;
     Hashtbl.iter
       (fun _ p ->
@@ -2929,8 +2919,7 @@ let restart t =
   Endpoint.restart (endpoint t);
   t.running <- true;
   t.cpu_free <- Backend.now t.bk;
-  Trace.emitf t.tracer ~category:"fail" "site %d restarts (epoch %d)" t.my_site
-    (Endpoint.epoch (endpoint t));
+  trace_liveness t ~peer:t.my_site "restart";
   (* Announce recovery so recovery managers can react. *)
   for s = 0 to Backend.n_sites t.fab.fbk - 1 do
     if s <> t.my_site then
@@ -2955,7 +2944,6 @@ let pg_create p name =
   dir_set t name (gid, [ t.my_site ]);
   remember_contacts t gid [ t.my_site ];
   p.memberships <- gi gid :: p.memberships;
-  Trace.emitf t.tracer ~category:"group" "create %s = g%d" name (gi gid);
   gid
 
 let pg_lookup p name =
@@ -3191,16 +3179,9 @@ let bcast_wait ?on_backpressure p mode ~dest ~entry msg ~(want : want) =
   bcast p mode ~dest ~entry msg ~want
 
 (* Live origination window of a locally-visible group: the AIMD value
-   when adaptive, the static config otherwise, [0] meaning ungated.
-   Test/diagnostic surface for the flow-control suite. *)
-let ab_window_now t gid =
-  match group_of t gid with
-  | None -> None
-  | Some g ->
-    Some
-      (if t.cfg.ab_window <= 0 then 0
-       else if t.cfg.ab_adaptive then g.ab_cwnd
-       else t.cfg.ab_window)
+   when adaptive, the static config otherwise.  Test/diagnostic surface
+   for the flow-control suite. *)
+let ab_window_now t gid = Option.map (current_ab_window t) (group_of t gid)
 
 (* The paper's mcast signature takes a destination LIST; replies from
    every group and process funnel into one session. *)

@@ -67,33 +67,22 @@ type config = {
           together coalesce into shared packets — phase-1 fan-out,
           the members' prio replies, and the phase-2 commit fan-out
           each collapse to one packet per destination per burst.
-          1 fully serializes rounds; [<= 0] disables the gate (every
-          round launches immediately, the historical behaviour). *)
+          1 fully serializes rounds.  Must be [>= 1]. *)
   ab_window_min : int;
-      (** floor of the adaptive window (see [ab_adaptive]); default 2. *)
+      (** floor of the adaptive window (see [ab_adaptive]); default 2.
+          Must lie in [\[1, ab_window\]]. *)
   ab_adaptive : bool;
       (** size the origination window by AIMD instead of the static
           value: clean round completions grow it additively up to the
           [ab_window] ceiling, a transport RTO toward a member site
           halves it (once per congestion episode) down to
-          [ab_window_min].  Default off; meaningless when
-          [ab_window <= 0]. *)
+          [ab_window_min].  Default off. *)
   ab_queue_limit : int;
       (** admission cap on the per-group ABCAST backlog: at or beyond
           this many queued rounds the group reports overload through
           {!bcast_try} / {!bcast_wait}.  [0] (default) = unbounded
           admission ({!bcast} itself never blocks or drops either
           way). *)
-  stability_gc : bool;
-      (** Garbage-collect delivery-dedup state from message stability
-          (default [true]): once a multicast is {e stable} — every
-          destination received it, the same trigger that already GCs
-          the retransmission store — the engines' per-origin-site
-          dedup watermarks advance past it, so long-lived views run in
-          bounded memory and late duplicates are rejected by integer
-          comparison.  [false] reverts to the historical behaviour
-          (dedup records accumulate for the life of the view); kept
-          for the soak bench's A/B comparison. *)
   clock_offset_us : int;
       (** this site's wall-clock skew from true simulation time
           (unknown to the site itself; the real-time tool estimates
@@ -120,15 +109,17 @@ val make_fabric : Vsync_backend.Backend.t -> fabric
 val fabric_backend : fabric -> Vsync_backend.Backend.t
 
 (** [create ?config fabric ~site ~trace ()] boots the site's protocols
-    process. *)
+    process.
+    @raise Invalid_argument if [config.ab_window < 1] or
+    [config.ab_window_min] lies outside [\[1, ab_window\]]. *)
 val create :
-  ?config:config -> fabric -> site:int -> trace:Vsync_sim.Trace.t -> unit -> t
+  ?config:config -> fabric -> site:int -> trace:Vsync_obs.Tracer.t -> unit -> t
 
 val site : t -> int
 val backend : t -> Vsync_backend.Backend.t
 val alive : t -> bool
 val counters : t -> Vsync_util.Stats.Counter.t
-val trace : t -> Vsync_sim.Trace.t
+val trace : t -> Vsync_obs.Tracer.t
 
 (** [metrics t] is the site's unified metrics registry: the hygiene
     gauges ([runtime.pending_unstable], [runtime.pending_store],
@@ -308,7 +299,7 @@ val bcast_wait :
 
 (** [ab_window_now t gid] is the live ABCAST origination window of a
     locally-visible group: the AIMD value under [ab_adaptive], the
-    static config otherwise, [0] meaning ungated. *)
+    static config otherwise. *)
 val ab_window_now : t -> Addr.group_id -> int option
 
 (** [reply p ~request answer] answers a message delivered to [p] that
@@ -364,9 +355,11 @@ val pending_sessions : t -> int
 val pending_store : t -> int
 
 (** [dedup_residue t] — delivery-dedup records not yet covered by a
-    stability watermark, across all groups.  With {!config.stability_gc}
-    this drains to zero at quiescence; without it, it grows with every
-    multicast the view ever carried. *)
+    stability watermark, across all groups.  It drains to zero at
+    quiescence: once a multicast is {e stable} — every destination
+    received it, the same trigger that GCs the retransmission store —
+    the engines' per-origin-site dedup watermarks advance past it, so
+    long-lived views run in bounded memory. *)
 val dedup_residue : t -> int
 
 (** [state_stats t] — labelled sizes of every per-group protocol-state

@@ -26,7 +26,7 @@ let run ?(sites = 4) ?(horizon_us = 20_000_000) ?(settle_us = 30_000_000)
      Enabling tracing draws no randomness, so seeded runs stay
      bit-identical to untraced ones.  An exporting caller widens the
      mask to the net and transport layers too. *)
-  let tr = Vsync_sim.Trace.obs (World.trace w) in
+  let tr = World.trace w in
   (match trace_sink with
   | None ->
     Vsync_obs.Tracer.set_classes tr [ Vsync_obs.Event.Proto; Vsync_obs.Event.Partition ]

@@ -1,6 +1,6 @@
 module Engine = Vsync_sim.Engine
 module Net = Vsync_sim.Net
-module Trace = Vsync_sim.Trace
+module Tracer = Vsync_obs.Tracer
 module Stats = Vsync_util.Stats
 module Backend = Vsync_backend.Backend
 module Wallclock = Vsync_backend.Wallclock
@@ -18,7 +18,7 @@ type driver =
 type t = {
   bk : Backend.t;
   driver : driver;
-  tracer : Trace.t;
+  tracer : Tracer.t;
   runtimes : Runtime.t array;
 }
 
@@ -42,9 +42,9 @@ let create ?(backend = Sim) ?(seed = 0x15155EEDL) ?(net_config = Net.default_con
   | Sim ->
     let eng = Engine.create ~seed () in
     let network = Net.create eng net_config ~sites in
-    let tracer = Trace.create eng in
-    Engine.set_tracer eng (Trace.obs tracer);
-    Net.set_tracer network (Trace.obs tracer);
+    let tracer = Tracer.create ~now:(fun () -> Engine.now eng) () in
+    Engine.set_tracer eng tracer;
+    Net.set_tracer network tracer;
     let bk = Net.backend network in
     let fabric = Runtime.make_fabric bk in
     (* [Backend.rng bk] is the engine root, so this split is exactly the
@@ -57,7 +57,7 @@ let create ?(backend = Sim) ?(seed = 0x15155EEDL) ?(net_config = Net.default_con
     { bk; driver = Dsim { eng; network }; tracer; runtimes }
   | Wall config ->
     let wall = Wallclock.create ~config ~seed ~sites () in
-    let tracer = Trace.create_clock ~now:(fun () -> Wallclock.now wall) in
+    let tracer = Tracer.create ~now:(fun () -> Wallclock.now wall) () in
     let bk = Wallclock.backend wall in
     let fabric = Runtime.make_fabric bk in
     let skew_rng = Vsync_util.Rng.split (Backend.rng bk) in

@@ -51,7 +51,7 @@ val kind : t -> Vsync_backend.Backend.kind
 val engine : t -> Vsync_sim.Engine.t
 
 val net : t -> Vsync_sim.Net.t
-val trace : t -> Vsync_sim.Trace.t
+val trace : t -> Vsync_obs.Tracer.t
 val n_sites : t -> int
 
 (** [runtime w s] is site [s]'s protocols process. *)

@@ -130,7 +130,7 @@ let test_backpressure_fires_and_releases () =
      bcast_try reports Backpressure; after the pipeline drains it
      admits again.  Same engine, same seed: fully deterministic. *)
   let config =
-    { Runtime.default_config with Runtime.ab_window = 1; ab_queue_limit = 4 }
+    { Runtime.default_config with Runtime.ab_window = 1; ab_window_min = 1; ab_queue_limit = 4 }
   in
   let w = World.create ~seed:0xF10CL ~runtime_config:config ~sites:3 () in
   let members = Array.init 3 (fun s -> World.proc w ~site:s ~name:(Printf.sprintf "m%d" s)) in
@@ -215,6 +215,33 @@ let test_aimd_shrink_and_regrow () =
     true
     (window () > shrunk)
 
+(* The window config is validated up front: a window below one round,
+   or a floor outside [1, ab_window], is refused instead of silently
+   meaning something else. *)
+let test_window_config_validated () =
+  let create config =
+    let w = World.create ~sites:1 () in
+    let fab = Runtime.make_fabric (World.backend w) in
+    ignore (Runtime.create ~config fab ~site:0 ~trace:(World.trace w) ())
+  in
+  let d = Runtime.default_config in
+  List.iter
+    (fun (label, config) ->
+      match create config with
+      | () -> Alcotest.failf "%s: accepted" label
+      | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: refused by the window check (%s)" label msg)
+          true
+          (String.starts_with ~prefix:"Runtime.create: ab_window" msg))
+    [
+      ("ab_window = 0", { d with Runtime.ab_window = 0; ab_window_min = 1 });
+      ("ab_window < 0", { d with Runtime.ab_window = -1; ab_window_min = 1 });
+      ("ab_window_min = 0", { d with Runtime.ab_window_min = 0 });
+      ("ab_window_min > ab_window", { d with Runtime.ab_window = 4; ab_window_min = 5 });
+    ];
+  create { d with Runtime.ab_window = 1; ab_window_min = 1 }
+
 (* --- 25-seed oracle sweep: flow control on vs off --- *)
 
 let flowctl_config =
@@ -277,5 +304,6 @@ let suite =
     Alcotest.test_case "oversized message never wedges" `Quick test_oversized_message_never_wedges;
     Alcotest.test_case "backpressure fires and releases" `Quick test_backpressure_fires_and_releases;
     Alcotest.test_case "AIMD shrinks on loss, regrows after heal" `Quick test_aimd_shrink_and_regrow;
+    Alcotest.test_case "window config validated" `Quick test_window_config_validated;
     Alcotest.test_case "25-seed sweep: flow control on/off" `Slow test_sweep_on_off;
   ]

@@ -6,9 +6,8 @@
 
    - engine: a duplicate of an already-stabilized multicast (replayed
      {e after} the watermark advanced past it) is still suppressed;
-   - runtime: with [stability_gc] the dedup residue and the
-     retransmission store drain to zero at quiescence, without it the
-     residue grows with traffic (the historical behaviour);
+   - runtime: the dedup residue and the retransmission store drain to
+     zero at quiescence;
    - system: a duplication/delay-heavy nemesis sweep must show no
      double delivery and clean hygiene at every site (the oracle
      checks both). *)
@@ -96,8 +95,8 @@ let test_total_commit_precedence () =
 
 (* --- runtime level --------------------------------------------------- *)
 
-let form ?(seed = 41L) ?runtime_config ~sites () =
-  let w = World.create ~seed ?runtime_config ~sites () in
+let form ?(seed = 41L) ~sites () =
+  let w = World.create ~seed ~sites () in
   let members = Array.init sites (fun s -> World.proc w ~site:s ~name:(Printf.sprintf "g%d" s)) in
   let gid = ref None in
   World.run_task w members.(0) (fun () -> gid := Some (Runtime.pg_create members.(0) "gc"));
@@ -135,18 +134,6 @@ let test_runtime_drains_with_gc () =
   Alcotest.(check int) "dedup residue drains" 0 (sum_gauge w Runtime.dedup_residue);
   Alcotest.(check int) "store drains" 0 (sum_gauge w Runtime.pending_store);
   Alcotest.(check int) "unstables drain" 0 (sum_gauge w Runtime.pending_unstable)
-
-let test_runtime_accretes_without_gc () =
-  (* The historical behaviour, kept behind [stability_gc = false]: the
-     dedup records of every multicast the view carried stay resident. *)
-  let runtime_config = { Runtime.default_config with Runtime.stability_gc = false } in
-  let w, members, gid = form ~runtime_config ~sites:3 () in
-  flood w members gid 60;
-  Alcotest.(check bool)
-    "dedup records accrete" true
-    (sum_gauge w Runtime.dedup_residue > 60);
-  (* The store still drains: its GC predates the watermarks. *)
-  Alcotest.(check int) "store drains regardless" 0 (sum_gauge w Runtime.pending_store)
 
 let test_local_group_bounded () =
   (* A purely local group has no [Stable] flow; origination must GC its
@@ -221,8 +208,6 @@ let suite =
     Alcotest.test_case "total: commit precedence over watermark" `Quick
       test_total_commit_precedence;
     Alcotest.test_case "runtime: state drains at quiescence" `Quick test_runtime_drains_with_gc;
-    Alcotest.test_case "runtime: accretes with stability_gc off" `Quick
-      test_runtime_accretes_without_gc;
     Alcotest.test_case "runtime: local-only group stays bounded" `Quick test_local_group_bounded;
     Alcotest.test_case "nemesis: dup/delay-heavy sweep, exactly-once + hygiene" `Slow
       test_dup_sweep;

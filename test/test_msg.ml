@@ -4,6 +4,7 @@
 module Addr = Vsync_msg.Addr
 module Entry = Vsync_msg.Entry
 module Message = Vsync_msg.Message
+module Symtab = Vsync_msg.Symtab
 
 (* --- addresses --- *)
 
@@ -285,10 +286,11 @@ let test_message_system_fields () =
   Alcotest.(check (option int)) "entry" (Some (Entry.user 3)) (Message.entry m)
 
 let test_message_decode_garbage () =
-  Alcotest.(check bool) "garbage rejected" true
-    (match Message.decode (Bytes.of_string "\xff\xff\xff\xff\x00") with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
+  (* 65,535 fields claimed, 3 bytes to hold them: refused before any
+     field arrays are sized from the count. *)
+  Alcotest.check_raises "garbage rejected"
+    (Invalid_argument "Message.decode: field count exceeds buffer") (fun () ->
+      ignore (Message.decode (Bytes.of_string "\xff\xff\xff\xff\x00")))
 
 (* Generator for random messages (flat fields). *)
 let gen_message =
@@ -344,6 +346,38 @@ let prop_size_tracks_mutation =
       | [] -> ());
       fresh && after_set && ok m)
 
+(* Hostile input: random bytes, and valid encodings (some nested) with
+   bytes overwritten and the tail maybe cut off — an overwritten name
+   byte followed by a cut is exactly a never-seen name in a buffer that
+   is then rejected.  A rejected decode must raise [Invalid_argument]
+   and nothing else, and must leave the never-freed symbol table as it
+   was. *)
+let gen_hostile_buffer =
+  let open QCheck.Gen in
+  let random = map Bytes.of_string (string_size (0 -- 64)) in
+  let mutated =
+    let* m = gen_message in
+    let* inner = gen_message in
+    let* nest = bool in
+    if nest then Message.set_msg m "inner" inner;
+    let b = Message.encode m in
+    let len = Bytes.length b in
+    let* flips = list_size (1 -- 3) (pair (0 -- (len - 1)) (0 -- 255)) in
+    let* cut = oneof [ return len; 0 -- len ] in
+    List.iter (fun (pos, c) -> Bytes.set_uint8 b pos c) flips;
+    return (Bytes.sub b 0 cut)
+  in
+  oneof [ random; mutated ]
+
+let prop_rejected_decode_leaves_no_state =
+  QCheck.Test.make ~name:"rejected decode: Invalid_argument only, no interned names" ~count:2000
+    (QCheck.make ~print:(fun b -> String.escaped (Bytes.to_string b)) gen_hostile_buffer)
+    (fun b ->
+      let before = Symtab.interned () in
+      match Message.decode b with
+      | _ -> true
+      | exception Invalid_argument _ -> Symtab.interned () = before)
+
 let suite =
   [
     Alcotest.test_case "address roundtrip" `Quick test_addr_roundtrip;
@@ -360,6 +394,7 @@ let suite =
     Alcotest.test_case "message system fields" `Quick test_message_system_fields;
     Alcotest.test_case "message decode garbage" `Quick test_message_decode_garbage;
     QCheck_alcotest.to_alcotest prop_message_roundtrip;
+    QCheck_alcotest.to_alcotest prop_rejected_decode_leaves_no_state;
     Alcotest.test_case "wire-format fixtures" `Quick test_wire_fixtures;
     Alcotest.test_case "set after remove wire order" `Quick test_set_after_remove_order;
     Alcotest.test_case "cow copy unaffected by original" `Quick test_cow_copy_unaffected_by_original;

@@ -1,12 +1,12 @@
 (* The typed observability layer: zero-cost-when-disabled tracing, the
    JSONL codec round-trip, per-uid timeline reconstruction, and the
    regression fixes that ride with it (channel-fatal reassembly
-   teardown, Trace.emitf's disabled branch, scenario / news-agent setup
-   failures surfacing as values instead of exceptions). *)
+   teardown, scenario / news-agent setup failures surfacing as values
+   instead of exceptions), and the site-liveness events of a crash and
+   restart. *)
 
 module Engine = Vsync_sim.Engine
 module Net = Vsync_sim.Net
-module Trace = Vsync_sim.Trace
 module Tracer = Vsync_obs.Tracer
 module Event = Vsync_obs.Event
 module Jsonl = Vsync_obs.Jsonl
@@ -48,7 +48,7 @@ let test_mask_filters_classes () =
   Alcotest.(check bool) "wants proto" true (Tracer.wants tr Event.Proto);
   Alcotest.(check bool) "does not want note" false (Tracer.wants tr Event.Note);
   Tracer.emit tr (Event.Deliver { site = 0; group = 1; usite = 2; useq = 3 });
-  Tracer.emit tr (Event.Note_event { site = 0; cat = "x"; text = "filtered" });
+  Tracer.emit tr (Event.Error_event { site = 0; what = "x"; detail = "filtered" });
   Alcotest.(check int) "only the proto event landed" 1 (List.length (Tracer.records tr))
 
 (* --- JSONL round-trip ----------------------------------------------- *)
@@ -79,8 +79,16 @@ let sample_events =
     Event.View_install { site = 2; group = 1; view_id = 4; nsites = 3; mhash = 77 };
     Event.Stable_advance { site = 1; origin = 0; upto = 9 };
     Event.Gc_reclaim { site = 1; n = 12 };
+    Event.Liveness { site = 0; peer = 2; state = "suspect" };
+    Event.Liveness { site = 0; peer = 2; state = "reachable" };
+    Event.Liveness { site = 1; peer = 2; state = "recovered" };
+    Event.Liveness { site = 2; peer = 2; state = "crash" };
+    Event.Liveness { site = 2; peer = 2; state = "restart" };
     Event.Error_event { site = 0; what = "news.join"; detail = "refused" };
-    Event.Note_event { site = 0; cat = "deliver"; text = "legacy string" };
+    Event.Error_event { site = 0; what = "no-entry"; detail = "entry 3 at s0.p1" };
+    Event.Error_event { site = 1; what = "body-missing"; detail = "0.9" };
+    Event.Error_event { site = 1; what = "fenced-stale-commit"; detail = "g1 v3 a1 from s2" };
+    Event.Error_event { site = 2; what = "no-live-coordinator"; detail = "g1" };
   ]
 
 let test_jsonl_roundtrip () =
@@ -111,7 +119,7 @@ let test_jsonl_rejects_garbage () =
 let test_timeline_complete () =
   let w = World.create ~seed:0x0B5EL ~sites:3 () in
   let records = ref [] in
-  let tr = Trace.obs (World.trace w) in
+  let tr = World.trace w in
   Tracer.set_classes tr [ Event.Proto ];
   Tracer.add_sink tr (fun r -> records := r :: !records);
   Tracer.set_enabled tr true;
@@ -245,38 +253,6 @@ let test_reassembly_corruption_fails_channel () =
       (String.length reason > 0)
   | other -> Alcotest.failf "expected one Channel_fail event, saw %d" (List.length other)
 
-(* --- regression: Trace.emitf's disabled branch ----------------------- *)
-
-(* The old disabled branch formatted into the shared
-   [Format.str_formatter]: a caller mixing emitf with its own
-   str_formatter use would observe interleaved garbage.  Disabled (or
-   Note-masked) emitf must leave it untouched. *)
-let test_emitf_disabled_leaves_str_formatter () =
-  let e = Engine.create ~seed:1L () in
-  let trace = Trace.create e in
-  ignore (Format.flush_str_formatter ());
-  Format.fprintf Format.str_formatter "mine:%d" 1;
-  Trace.emitf trace ~category:"test" "noise %d %s" 42 "x";
-  Alcotest.(check string) "disabled emitf stays off str_formatter" "mine:1"
-    (Format.flush_str_formatter ());
-  (* Enabled but Note-masked: the scenario harness runs in exactly this
-     configuration, so formatting must still be skipped. *)
-  Tracer.set_classes (Trace.obs trace) [ Event.Proto ];
-  Trace.set_enabled trace true;
-  Format.fprintf Format.str_formatter "mine:%d" 2;
-  Trace.emitf trace ~category:"test" "noise %d" 43;
-  Alcotest.(check string) "masked emitf stays off str_formatter" "mine:2"
-    (Format.flush_str_formatter ());
-  Alcotest.(check int) "nothing recorded" 0 (List.length (Trace.records trace));
-  (* Fully on: the note is recorded. *)
-  Tracer.set_classes (Trace.obs trace) Event.all_classes;
-  Trace.emitf trace ~category:"test" "hello %d" 7;
-  match Trace.records trace with
-  | [ r ] ->
-    Alcotest.(check string) "category" "test" r.Trace.category;
-    Alcotest.(check string) "detail" "hello 7" r.Trace.detail
-  | rs -> Alcotest.failf "expected one record, got %d" (List.length rs)
-
 (* --- regression: setup failures are values, not aborts --------------- *)
 
 let test_scenario_returns_ok () =
@@ -295,7 +271,7 @@ let test_scenario_returns_ok () =
 let test_news_join_refused_reports () =
   let w = World.create ~seed:11L ~sites:2 () in
   let errors = ref [] in
-  let tr = Trace.obs (World.trace w) in
+  let tr = World.trace w in
   Tracer.add_sink tr (fun r ->
       match r.Event.ev with
       | Event.Error_event { site; what; detail } -> errors := (site, what, detail) :: !errors
@@ -322,6 +298,49 @@ let test_news_join_refused_reports () =
     Alcotest.(check string) "tagged" "news.join" what
   | [] -> Alcotest.fail "no Error_event on the typed stream"
 
+(* --- site liveness through a crash and restart ----------------------- *)
+
+(* A 3-site group loses site 2 to a crash and gets it back.  The
+   crashed site reports its own crash and restart; each peer's failure
+   detector reports it suspected, and the restarted site's hello
+   reports it recovered. *)
+let test_crash_restart_liveness () =
+  let w = World.create ~seed:0x11FEL ~sites:3 () in
+  let seen = ref [] in
+  let tr = World.trace w in
+  Tracer.set_classes tr [ Event.Partition ];
+  Tracer.add_sink tr (fun r ->
+      match r.Event.ev with
+      | Event.Liveness { site; peer; state } -> seen := (site, peer, state) :: !seen
+      | _ -> ());
+  Tracer.set_enabled tr true;
+  let members = Array.init 3 (fun s -> World.proc w ~site:s ~name:(Printf.sprintf "l%d" s)) in
+  let gid = ref None in
+  World.run_task w members.(0) (fun () -> gid := Some (Runtime.pg_create members.(0) "live"));
+  World.run w;
+  let gid = Option.get !gid in
+  for i = 1 to 2 do
+    World.run_task w members.(i) (fun () ->
+        ignore (Runtime.pg_lookup members.(i) "live");
+        ignore (Runtime.pg_join members.(i) gid ~credentials:(Message.create ())))
+  done;
+  World.run w;
+  Alcotest.(check int) "no liveness change while healthy" 0 (List.length !seen);
+  World.crash_site w 2;
+  World.run_for w 10_000_000;
+  World.restart_site w 2;
+  World.run_for w 10_000_000;
+  let saw site state = List.mem (site, 2, state) !seen in
+  Alcotest.(check bool) "crashed site reports its crash" true (saw 2 "crash");
+  Alcotest.(check bool) "crashed site reports its restart" true (saw 2 "restart");
+  List.iter
+    (fun peer ->
+      Alcotest.(check bool) (Printf.sprintf "site %d suspects site 2" peer) true (saw peer "suspect");
+      Alcotest.(check bool)
+        (Printf.sprintf "site %d hears site 2 recovered" peer)
+        true (saw peer "recovered"))
+    [ 0; 1 ]
+
 let suite =
   [
     Alcotest.test_case "tracer: disabled tracing allocates nothing" `Quick test_disabled_no_alloc;
@@ -334,10 +353,10 @@ let suite =
       test_runtime_metrics_registered;
     Alcotest.test_case "regression: reassembly corruption is channel-fatal" `Quick
       test_reassembly_corruption_fails_channel;
-    Alcotest.test_case "regression: emitf leaves str_formatter alone" `Quick
-      test_emitf_disabled_leaves_str_formatter;
     Alcotest.test_case "regression: scenario setup failure is a value" `Quick
       test_scenario_returns_ok;
     Alcotest.test_case "regression: news join refusal reported, not fatal" `Quick
       test_news_join_refused_reports;
+    Alcotest.test_case "liveness: crash and restart reported at every site" `Quick
+      test_crash_restart_liveness;
   ]

@@ -22,7 +22,7 @@ let e_app = Entry.user 0
    a per-member record of delivered tags. *)
 let setup ?runtime_config ~seed ~sites name =
   let w = World.create ?runtime_config ~seed ~sites () in
-  let tr = Vsync_sim.Trace.obs (World.trace w) in
+  let tr = World.trace w in
   Vsync_obs.Tracer.set_classes tr [ Vsync_obs.Event.Proto; Vsync_obs.Event.Partition ];
   Vsync_obs.Tracer.set_enabled tr true;
   let members =
